@@ -256,6 +256,20 @@ func BenchmarkRouteCycleImplicit(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEnginePartial measures building a dense n=1024 engine whose
+// switches are Pippenger-style partial concentrators — the construction cost
+// behind the serving daemon's -switches partial start-up, recorded in
+// CHANGES.md as ns/op and allocs/op.
+func BenchmarkNewEnginePartial(b *testing.B) {
+	ft := fattree.NewUniversal(1024, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if e := fattree.NewEngine(ft, fattree.SwitchPartial, 1); e.Tree() != ft {
+			b.Fatal("engine lost its tree")
+		}
+	}
+}
+
 // BenchmarkServeRoute measures the steady-state request path of the
 // multi-tenant daemon: queue accounting, span pushes, one RunServe call on a
 // warmed persistent engine with its observer attached, and the RED merge —

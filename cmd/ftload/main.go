@@ -200,11 +200,15 @@ func run(cfg config) error {
 		},
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// Only a signal cancels requests in flight. -duration ends the pacing
+	// and stops workers from starting new requests; the ones already sent
+	// finish and are counted.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx := sigCtx
 	if cfg.duration > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.duration)
+		ctx, cancel = context.WithTimeout(sigCtx, cfg.duration)
 		defer cancel()
 	}
 
@@ -230,7 +234,7 @@ func run(cfg config) error {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			l.worker(ctx)
+			l.worker(ctx, sigCtx)
 		}()
 	}
 	workers.Wait()
@@ -293,8 +297,9 @@ func (l *loader) claim(want int64) (first, granted int64) {
 	}
 }
 
-// worker drives requests until the budget is spent or the context ends.
-func (l *loader) worker(ctx context.Context) {
+// worker drives requests until the budget is spent or ctx ends. Requests
+// are sent under reqCtx, so ending ctx never cancels one in flight.
+func (l *loader) worker(ctx, reqCtx context.Context) {
 	body := make([]byte, 0, 256*l.cfg.batch)
 	for ctx.Err() == nil {
 		if l.tokens != nil {
@@ -309,10 +314,10 @@ func (l *loader) worker(ctx context.Context) {
 			return
 		}
 		if l.cfg.batch == 1 {
-			l.fireSingle(ctx, first)
+			l.fireSingle(reqCtx, first)
 			continue
 		}
-		l.fireBatch(ctx, body, first, int(n))
+		l.fireBatch(reqCtx, body, first, int(n))
 	}
 }
 

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fattree/internal/obsv"
 )
@@ -110,5 +115,43 @@ func TestQuantileString(t *testing.T) {
 	}
 	if got := quantileString(&h, 0.99); got != "512µs" {
 		t.Fatalf("quantile = %q, want 512µs", got)
+	}
+}
+
+// TestDurationLetsInFlightRequestsFinish runs ftload against a server whose
+// handler is slower than the gap between the last request and the -duration
+// deadline. The deadline must stop pacing without cancelling the request in
+// flight, so every sent request completes and none counts as failed.
+func TestDurationLetsInFlightRequestsFinish(t *testing.T) {
+	var served atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/route", func(w http.ResponseWriter, r *http.Request) {
+		discard(r.Body)
+		time.Sleep(150 * time.Millisecond)
+		served.Add(1)
+		io.WriteString(w, `{"tenant":"alpha","delivered":1}`)
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `# TYPE fattree_messages_offered_total counter
+fattree_messages_offered_total{tenant="alpha"} 1
+# TYPE fattree_messages_delivered_total counter
+fattree_messages_delivered_total{tenant="alpha"} 1
+`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	cfg, err := parseConfig([]string{"-addr", srv.URL, "-tenants", "alpha",
+		"-duration", "250ms", "-concurrency", "2", "-scrape", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(cfg); err != nil {
+		t.Fatalf("run with -duration: %v", err)
+	}
+	// A worker leaves its loop only once the deadline has passed, so each
+	// one's last request was sent before the deadline and answered after it.
+	if served.Load() < 2 {
+		t.Fatalf("server answered %d requests, want at least one per worker", served.Load())
 	}
 }

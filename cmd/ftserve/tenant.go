@@ -344,9 +344,6 @@ func (s *server) drainRound(counts []int) int {
 		processed += c
 		counts[i] = 0
 	}
-	if processed > 0 {
-		s.served.Add(int64(processed))
-	}
 	return processed
 }
 
@@ -366,8 +363,9 @@ func (tn *tenant) drainBatch(s *server) int {
 
 // process is the observed steady-state request path: dequeue accounting,
 // queue-wait span, one RunServe on the tenant's persistent engine, the RED
-// merge, the engine span, and the completion signal. Allocation-free on a
-// warmed engine (TestServeRouteAllocs, BenchmarkServeRoute).
+// merge, the engine span, the served count, and the completion signal.
+// Allocation-free on a warmed engine (TestServeRouteAllocs,
+// BenchmarkServeRoute).
 //
 //ftlint:hotpath
 func (tn *tenant) process(s *server, req *routeReq) {
@@ -392,6 +390,9 @@ func (tn *tenant) process(s *server, req *routeReq) {
 		Start: dequeued, Dur: end - dequeued,
 		Cycles: int32(st.Cycles), Msgs: int32(len(req.ms)), Err: req.failed,
 	})
+	// Count the request before its client can observe the response, so
+	// /runs and the -runs budget never lag a delivered answer.
+	s.served.Add(1)
 	req.done <- struct{}{}
 }
 

@@ -20,6 +20,12 @@ type Cascade struct {
 // NewCascade builds a cascade concentrating r inputs onto s <= r outputs.
 // Stage i is a partial concentrator from w_i wires to max(s, 2w_i/3) wires.
 func NewCascade(r, s int, seed int64) *Cascade {
+	return new(Builder).cascade(r, s, seed)
+}
+
+// cascade returns the cascade NewCascade(r, s, seed) builds, with its stages
+// drawn from this Builder.
+func (b *Builder) cascade(r, s int, seed int64) *Cascade {
 	if r < 1 || s < 1 || s > r {
 		panic(fmt.Sprintf("concentrator: invalid cascade (r=%d, s=%d)", r, s))
 	}
@@ -31,13 +37,13 @@ func NewCascade(r, s int, seed int64) *Cascade {
 		if next < s {
 			next = s
 		}
-		c.stages = append(c.stages, NewPartial(w, next, seed+stage))
+		c.stages = append(c.stages, b.partial(w, next, seed+stage))
 		w = next
 		stage++
 	}
 	if len(c.stages) == 0 {
 		// r == s: a single identity-capable stage keeps Route well-defined.
-		c.stages = append(c.stages, NewPartial(r, s, seed))
+		c.stages = append(c.stages, b.partial(r, s, seed))
 	}
 	return c
 }

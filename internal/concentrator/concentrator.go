@@ -110,53 +110,10 @@ type Partial struct {
 // degree at most MaxOutDegree whenever the aggregate budget allows
 // (r·MaxInDegree <= s·MaxOutDegree, which holds at the canonical ratio
 // s = 2r/3). The achieved concentration constant is measured, not assumed:
-// see MeasureAlpha.
+// see MeasureAlpha. Construction costs O(r·deg·log s) for deg =
+// min(MaxInDegree, s); a Builder additionally shares graphs across calls.
 func NewPartial(r, s int, seed int64) *Partial {
-	if r < 1 || s < 1 || s > r {
-		panic(fmt.Sprintf("concentrator: invalid partial concentrator (r=%d, s=%d)", r, s))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	deg := MaxInDegree
-	if deg > s {
-		deg = s
-	}
-	// Slot pool: each output appears up to MaxOutDegree times, but at least
-	// enough slots exist to serve all inputs.
-	slotsPerOut := MaxOutDegree
-	if r*deg > s*slotsPerOut {
-		slotsPerOut = (r*deg + s - 1) / s
-	}
-	remaining := make([]int, s)
-	for v := range remaining {
-		remaining[v] = slotsPerOut
-	}
-	adj := make([][]int, r)
-	// Process inputs in random order so no input is systematically starved.
-	order := rng.Perm(r)
-	pool := make([]int, 0, s)
-	for _, u := range order {
-		used := make(map[int]bool, deg)
-		edges := make([]int, 0, deg)
-		for len(edges) < deg {
-			// Rebuild the candidate pool of outputs with remaining budget and
-			// not already wired to u.
-			pool = pool[:0]
-			for v := 0; v < s; v++ {
-				if remaining[v] > 0 && !used[v] {
-					pool = append(pool, v)
-				}
-			}
-			if len(pool) == 0 {
-				break // budget exhausted; accept lower degree for this input
-			}
-			v := pool[rng.Intn(len(pool))]
-			used[v] = true
-			remaining[v]--
-			edges = append(edges, v)
-		}
-		adj[u] = edges
-	}
-	return &Partial{r: r, s: s, adj: adj, seen: make([]int64, r)}
+	return new(Builder).partial(r, s, seed)
 }
 
 // Inputs returns r.

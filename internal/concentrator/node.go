@@ -100,8 +100,15 @@ type pendingReq struct {
 // NewSwitch builds the switch for a node whose parent-side channels have
 // capParent wires and whose child-side channels have capChild wires each.
 // kind selects ideal or partial concentrators; seed feeds the partial
-// constructions.
+// constructions. To build many switches, use one Builder, which shares the
+// graphs they have in common.
 func NewSwitch(capParent, capChild int, kind Kind, seed int64) *Switch {
+	return new(Builder).Switch(capParent, capChild, kind, seed)
+}
+
+// Switch returns the switch NewSwitch(capParent, capChild, kind, seed)
+// builds, with its partial concentrators drawn from this Builder.
+func (b *Builder) Switch(capParent, capChild int, kind Kind, seed int64) *Switch {
 	if capParent < 1 || capChild < 1 {
 		panic(fmt.Sprintf("concentrator: invalid switch widths parent=%d child=%d", capParent, capChild))
 	}
@@ -112,7 +119,7 @@ func NewSwitch(capParent, capChild int, kind Kind, seed int64) *Switch {
 		if kind == KindIdeal {
 			return NewIdeal(r, s)
 		}
-		return NewCascade(r, s, seed+stage)
+		return b.cascade(r, s, seed+stage)
 	}
 	s := &Switch{
 		capParent: capParent,

@@ -207,10 +207,13 @@ func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Op
 	}
 	n := t.Processors()
 	e.scr.node = make([]nodeScratch, n)
+	// One Builder for the whole tree: switches whose partial graphs coincide
+	// (the seed+v scheme repeats (r, s, seed) across neighbours) share them.
+	var build concentrator.Builder
 	for v := 1; v < n; v++ {
 		capParent := e.caps[v]
 		capChild := e.caps[2*v]
-		e.switches[v] = concentrator.NewSwitch(capParent, capChild, kind, seed+int64(v))
+		e.switches[v] = build.Switch(capParent, capChild, kind, seed+int64(v))
 		e.scr.node[v] = nodeScratch{
 			reqs:      make([]concentrator.Request, 0, capParent+2*capChild),
 			upStamp:   make([]int64, capParent),

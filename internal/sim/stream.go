@@ -227,11 +227,11 @@ func (st *streamState) primeSpecials() {
 }
 
 // switchFor returns node v's materialized switch, building it on first
-// contest exactly as the dense constructor does: NewSwitch(capAbove(v),
+// contest with the dense constructor's arguments: NewSwitch(capAbove(v),
 // capAbove(leftChild), kind, seed+v), plus the loss wrapper when faults are
 // injected. Partial concentrators draw their randomness at construction from
-// their own (seed, node) stream, so lazy creation is equivalent to the dense
-// engine's eager loop.
+// their own (seed, node) stream, so a fresh build equals the dense engine's
+// memoized one and lazy creation is equivalent to its eager loop.
 func (sh *streamShard) switchFor(st *streamState, v int) *streamSwitch {
 	if ss, ok := sh.special[v]; ok {
 		return ss
