@@ -58,14 +58,20 @@ func (l *Lossy) Corrupted() int64 { return l.corrupted }
 
 // MatchingRounds forwards the inner concentrator's cumulative Hopcroft–Karp
 // round count (faults add no matching work).
-func (l *Lossy) MatchingRounds() int64 { return matchingRoundsOf(l.inner) }
+func (l *Lossy) MatchingRounds() int64 {
+	if m, ok := l.inner.(roundCounter); ok {
+		return m.MatchingRounds()
+	}
+	return 0
+}
 
 var _ Concentrator = (*Lossy)(nil)
 
 // InjectLoss wraps all three concentrators of the switch with the transient-
-// fault model.
+// fault model; every port then routes through its Lossy wrapper.
 func (s *Switch) InjectLoss(rate float64, seed int64) {
 	s.toParent = NewLossy(s.toParent, rate, seed)
 	s.toLeft = NewLossy(s.toLeft, rate, seed+1)
 	s.toRight = NewLossy(s.toRight, rate, seed+2)
+	s.classify()
 }

@@ -75,8 +75,37 @@ type Switch struct {
 	toLeft    Concentrator
 	toRight   Concentrator
 
+	// Per output port, set by classify whenever a port's concentrator
+	// changes: how Route assigns its wires, and the concentrator's hardware
+	// counters (nil when it keeps none), so the observer's per-sweep reads
+	// need no type assertions.
+	mode   [3]portMode
+	rounds [3]roundCounter
+	faults [3]faultCounter
+
 	scr switchScratch
 }
+
+// portMode says how Switch.Route assigns the wires of one output port.
+type portMode uint8
+
+const (
+	// portMatch partitions the port's requests and routes them through its
+	// Concentrator: partial graphs, cascades, and fault-injected ports.
+	portMatch portMode = iota
+	// portRank gives the k-th requester wire k while k < s and loses the
+	// rest — exactly what an unwrapped Ideal returns.
+	portRank
+	// portPass gives each requester its concatenated input index — exactly
+	// what an unwrapped passThrough returns.
+	portPass
+)
+
+// roundCounter and faultCounter are the optional hardware counters a
+// concentrator may keep (Partial and Cascade count matching rounds; Lossy
+// counts both).
+type roundCounter interface{ MatchingRounds() int64 }
+type faultCounter interface{ Corrupted() int64 }
 
 // switchScratch is the reusable per-route arena of one switch: request
 // partitions per output port, epoch-stamped input-wire occupancy guards, and
@@ -137,7 +166,28 @@ func (b *Builder) Switch(capParent, capChild int, kind Kind, seed int64) *Switch
 	}
 	s.scr.outWires = make([]int, 0, maxReqs)
 	s.scr.active = make([]int, 0, maxReqs)
+	s.classify()
 	return s
+}
+
+// classify derives each output port's routing mode and counter sources from
+// its concentrator's concrete type. Only an unwrapped Ideal or passThrough
+// routes by rank; anything else, including a Lossy wrapper around one, keeps
+// the matching path.
+func (s *Switch) classify() {
+	for out := Parent; out <= Right; out++ {
+		c := s.concentratorFor(out)
+		switch c.(type) {
+		case *Ideal:
+			s.mode[out] = portRank
+		case *passThrough:
+			s.mode[out] = portPass
+		default:
+			s.mode[out] = portMatch
+		}
+		s.rounds[out], _ = c.(roundCounter)
+		s.faults[out], _ = c.(faultCounter)
+	}
 }
 
 // passThrough is the degenerate "concentrator" used when an output port has
@@ -180,20 +230,25 @@ func (s *Switch) IncidentWires() int {
 // same input wire); Route panics otherwise, as the caller (the simulator)
 // owns those invariants.
 //
+// Ports with an unwrapped ideal or pass-through concentrator are answered in
+// the checking pass itself, by arrival rank or by concatenated input index;
+// only the remaining ports are partitioned and handed to their concentrator.
+//
 // The returned slice is owned by the switch's scratch and valid only until
 // the next Route call on this switch.
 //
 //ftlint:hotpath
 func (s *Switch) Route(reqs []Request) (outWires []int, lost int) {
-	// Partition the requests by output port, mapping each to its index in the
-	// concatenated input numbering of that port's concentrator. The
-	// duplicate-wire guard is an epoch stamp per input wire, cleared by
+	// The duplicate-wire guard is an epoch stamp per input wire, cleared by
 	// incrementing the generation instead of reallocating.
 	scr := &s.scr
 	scr.gen++
 	for out := Parent; out <= Right; out++ {
 		scr.byOut[out] = scr.byOut[out][:0]
 	}
+	outWires = growInts(scr.outWires, len(reqs))
+	scr.outWires = outWires
+	var rank [3]int
 	for i, r := range reqs {
 		if r.In == r.Out {
 			panic(fmt.Sprintf("concentrator: request %d turns back on port %v", i, r.In))
@@ -205,15 +260,25 @@ func (s *Switch) Route(reqs []Request) (outWires []int, lost int) {
 			panic(fmt.Sprintf("concentrator: two requests on input wire %d of port %v", r.InWire, r.In))
 		}
 		scr.seen[r.In][r.InWire] = scr.gen
-		scr.byOut[r.Out] = append(scr.byOut[r.Out],
-			pendingReq{reqIdx: i, wire: s.concentratorInput(r.In, r.Out, r.InWire)})
+		// wire is the request's index in the concatenated input numbering
+		// of its output port's concentrator.
+		wire := s.concentratorInput(r.In, r.Out, r.InWire)
+		switch s.mode[r.Out] {
+		case portRank:
+			if k := rank[r.Out]; k < s.portWidth(r.Out) {
+				outWires[i] = k
+			} else {
+				outWires[i] = -1
+				lost++
+			}
+			rank[r.Out]++
+		case portPass:
+			outWires[i] = wire
+		default: // answered below, once the port's requests are all known
+			scr.byOut[r.Out] = append(scr.byOut[r.Out], pendingReq{reqIdx: i, wire: wire})
+		}
 	}
 
-	outWires = growInts(scr.outWires, len(reqs))
-	scr.outWires = outWires
-	for i := range outWires {
-		outWires[i] = -1
-	}
 	for out := Parent; out <= Right; out++ {
 		ps := scr.byOut[out]
 		if len(ps) == 0 {
@@ -238,32 +303,26 @@ func (s *Switch) Route(reqs []Request) (outWires []int, lost int) {
 // ports, which route without matching. The observability layer snapshots this
 // monotone counter and differences it per sweep.
 func (s *Switch) MatchingRounds() int64 {
-	return matchingRoundsOf(s.toParent) + matchingRoundsOf(s.toLeft) + matchingRoundsOf(s.toRight)
+	var total int64
+	for _, c := range s.rounds {
+		if c != nil {
+			total += c.MatchingRounds()
+		}
+	}
+	return total
 }
 
 // FaultDrops returns the cumulative number of messages corrupted by injected
 // transient faults (the Lossy wrapper) across the node's three concentrators;
 // 0 when no loss is injected. Monotone, for observability snapshots.
 func (s *Switch) FaultDrops() int64 {
-	return corruptedOf(s.toParent) + corruptedOf(s.toLeft) + corruptedOf(s.toRight)
-}
-
-// matchingRoundsOf reads a concentrator's cumulative matching-round counter,
-// or 0 for implementations that do no matching.
-func matchingRoundsOf(c Concentrator) int64 {
-	if m, ok := c.(interface{ MatchingRounds() int64 }); ok {
-		return m.MatchingRounds()
+	var total int64
+	for _, c := range s.faults {
+		if c != nil {
+			total += c.Corrupted()
+		}
 	}
-	return 0
-}
-
-// corruptedOf reads a concentrator's cumulative fault-corruption counter, or
-// 0 for fault-free implementations.
-func corruptedOf(c Concentrator) int64 {
-	if f, ok := c.(interface{ Corrupted() int64 }); ok {
-		return f.Corrupted()
-	}
-	return 0
+	return total
 }
 
 // portWidth returns the wire count of a port (per direction).

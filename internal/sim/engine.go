@@ -16,20 +16,23 @@
 //
 // # The allocation-free data plane
 //
-// Both cycle paths share one bucketed data plane that does O(flights × path
-// length) work per cycle with zero steady-state heap allocation: each sweep
-// step touches every in-flight message exactly once to bucket it under its
-// owning switch (replacing the historical per-switch scan over all flights),
-// and all transient state — the flight table, the per-leaf injection
-// counters, the per-switch request lists and wire guards, and the wire
-// histories — lives in a per-engine scratch arena that is reused from cycle
-// to cycle. The first cycle after construction (or after a growth in problem
-// size) warms the arena; subsequent cycles allocate nothing. Channel
-// capacities are memoized into a flat array indexed by node id at
-// construction, so the sweep does integer arithmetic only — no map probes
-// through capacity overrides, and no tree walks (the downward steering
-// decision reads one bit of the destination leaf index). See DESIGN.md
-// "Scratch-arena ownership" for the reuse rules.
+// Both cycle paths share one bucketed data plane with zero steady-state heap
+// allocation. For P pending messages of which A are admitted at injection,
+// on a tree of L levels, a cycle does O(P + A·L) work: injection and
+// collection touch each pending message once, and each of the 2L sweep
+// steps scans only the live list — the flights still in the network, in
+// message-index order — bucketing each under its owning switch. Deferred
+// flights never enter the list, and lost or delivered ones leave it at the
+// next step. All transient state — the flight table and live list, the
+// per-leaf injection counters, the per-switch request lists and wire
+// guards, and the wire histories — lives in a per-engine scratch arena that
+// is reused from cycle to cycle. The first cycle after construction (or
+// after a growth in problem size) warms the arena; subsequent cycles
+// allocate nothing. Channel capacities are memoized into a flat array
+// indexed by node id at construction, so the sweep does integer arithmetic
+// only — no map probes through capacity overrides, and no tree walks (the
+// downward steering decision reads one bit of the destination leaf index).
+// See DESIGN.md "Scratch-arena ownership" for the reuse rules.
 //
 // # Parallel delivery cycles
 //
@@ -136,6 +139,11 @@ type scratch struct {
 	flights   []flight
 	delivered []bool
 	histArena []int // flat wire-history storage; flights hold offsets into it
+
+	// live lists the flights still in the network (state up or down) in
+	// message-index order. inject fills it; each sweep step scans only it
+	// and compacts away the flights the previous step lost or delivered.
+	live []int
 
 	// Per-processor injection counters, epoch-stamped so they need no
 	// clearing between cycles.
@@ -312,12 +320,6 @@ func (e *Engine) RunCycle(pending core.MessageSet) ([]bool, CycleResult) {
 	return e.runCycle(pending, nil)
 }
 
-// runCycleAuto dispatches between the serial execution and the level-sharded
-// parallel execution on the engine's worker bound.
-func (e *Engine) runCycleAuto(pending core.MessageSet) ([]bool, CycleResult) {
-	return e.RunCycle(pending)
-}
-
 // growInts returns s resized to n entries, reusing its backing array when
 // the capacity suffices and preserving existing contents on growth.
 func growInts(s []int, n int) []int {
@@ -345,7 +347,7 @@ func growInt64s(s []int64, n int) []int64 {
 // external world inject into the root down channel; outputs carry the
 // sentinel LCA 0 ("above the root") so the upward sweep forwards them through
 // every switch and out the root channel. Each admitted flight reserves its
-// exact path length in the wire-history arena.
+// exact path length in the wire-history arena and joins the live list.
 //
 //ftlint:hotpath
 func (e *Engine) inject(pending core.MessageSet) ([]flight, CycleResult) {
@@ -357,6 +359,7 @@ func (e *Engine) inject(pending core.MessageSet) ([]flight, CycleResult) {
 	}
 	flights := scr.flights[:len(pending)]
 	scr.flights = flights
+	live := scr.live[:0]
 	var res CycleResult
 
 	levels := t.Levels()
@@ -379,6 +382,7 @@ func (e *Engine) inject(pending core.MessageSet) ([]flight, CycleResult) {
 			}
 			scr.histArena[off] = rootInjected
 			rootInjected++
+			live = append(live, i)
 			continue
 		}
 		leaf := t.Leaf(m.Src)
@@ -414,7 +418,9 @@ func (e *Engine) inject(pending core.MessageSet) ([]flight, CycleResult) {
 		scr.histArena[off] = used
 		scr.injStamp[m.Src] = scr.epoch
 		scr.injUsed[m.Src] = used + 1
+		live = append(live, i)
 	}
+	scr.live = live
 	return flights, res
 }
 
@@ -466,16 +472,24 @@ func (e *Engine) runCycle(pending core.MessageSet, pool *par.Pool) ([]bool, Cycl
 
 	// Upward sweep, leaf parents toward the root: a message ascending
 	// through v holds a wire in the up channel above one of v's children
-	// and its LCA is strictly above v.
+	// and its LCA is strictly above v. Each step scans the live list only,
+	// dropping the flights that left the network in the previous step;
+	// compaction keeps message-index order, hence every contention winner.
 	for level := leafLevel - 1; level >= 0; level-- {
 		first := 1 << uint(level)
-		for i := range flights {
+		k := 0
+		for _, i := range scr.live {
 			f := &flights[i]
-			if f.state != flightUp || f.lca == f.node>>1 {
+			if f.state >= flightDone { // lost or delivered last step
 				continue
 			}
-			e.own(first, f.node>>1, i)
+			scr.live[k] = i
+			k++
+			if f.state == flightUp && f.lca != f.node>>1 {
+				e.own(first, f.node>>1, i)
+			}
 		}
+		scr.live = scr.live[:k]
 		e.routeLevel(pool, first, true, &res)
 	}
 
@@ -484,15 +498,21 @@ func (e *Engine) runCycle(pending core.MessageSet, pool *par.Pool) ([]bool, Cycl
 	// through v (it holds the parent-side down wire above v).
 	for level := 0; level < leafLevel; level++ {
 		first := 1 << uint(level)
-		for i := range flights {
+		k := 0
+		for _, i := range scr.live {
 			f := &flights[i]
-			switch f.state {
-			case flightUp: // waiting to turn at its LCA
+			if f.state >= flightDone { // lost or delivered last step
+				continue
+			}
+			scr.live[k] = i
+			k++
+			if f.state == flightUp { // waiting to turn at its LCA
 				e.own(first, f.lca, i)
-			case flightDown: // holds the down wire above f.node
+			} else { // holds the down wire above f.node
 				e.own(first, f.node, i)
 			}
 		}
+		scr.live = scr.live[:k]
 		e.routeLevel(pool, first, false, &res)
 	}
 
@@ -552,6 +572,16 @@ func (e *Engine) routeGathered(v int, flights []flight, who []int, upSweep bool,
 	if len(who) == 0 {
 		return
 	}
+	reqs := e.switchRequests(v, flights, who, upSweep)
+	outWires, _ := e.switches[v].Route(reqs)
+	e.applyWires(v, flights, who, reqs, outWires, upSweep, res)
+}
+
+// switchRequests builds switch v's request list for the flights in who (in
+// order) in v's scratch slot and returns it.
+//
+//ftlint:hotpath
+func (e *Engine) switchRequests(v int, flights []flight, who []int, upSweep bool) []concentrator.Request {
 	leafLevel := e.tree.Levels()
 	vLevel := bits.Len(uint(v)) - 1
 	ns := &e.scr.node[v]
@@ -585,8 +615,17 @@ func (e *Engine) routeGathered(v int, flights []flight, who []int, upSweep bool,
 		reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: out})
 	}
 	ns.reqs = reqs
+	return reqs
+}
 
-	outWires, _ := e.switches[v].Route(reqs)
+// applyWires applies switch v's answer to its requests: outWires[j] is the
+// wire granted to reqs[j], the request of flight who[j], or -1 if it lost.
+//
+//ftlint:hotpath
+func (e *Engine) applyWires(v int, flights []flight, who []int, reqs []concentrator.Request, outWires []int, upSweep bool, res *CycleResult) {
+	leafLevel := e.tree.Levels()
+	vLevel := bits.Len(uint(v)) - 1
+	ns := &e.scr.node[v]
 	// Hardware invariant: a concentrator never assigns more wires to a
 	// channel than the channel has, and never the same wire twice. The
 	// epoch-stamped guards are cheap and protect the whole delivery

@@ -128,20 +128,26 @@ func (e *Engine) runCycleKary(pending core.MessageSet, pool *par.Pool) ([]bool, 
 
 	// Upward sweep, leaf parents toward the root: a message ascending
 	// through v holds a wire in the up channel above one of v's children
-	// and its LCA is strictly above v.
+	// and its LCA is strictly above v. Each step scans and compacts the
+	// live list, as in runCycle.
 	for level := leafLevel - 1; level >= 0; level-- {
 		first, count := kt.LevelRange(level)
-		for i := range flights {
+		k := 0
+		for _, i := range scr.live {
 			f := &flights[i]
+			if f.state >= flightDone { // lost or delivered last step
+				continue
+			}
+			scr.live[k] = i
+			k++
 			if f.state != flightUp {
 				continue
 			}
-			p := kt.Parent(f.node)
-			if f.lca == p {
-				continue
+			if p := kt.Parent(f.node); f.lca != p {
+				e.karyOwn(first, count, p, i)
 			}
-			e.karyOwn(first, count, p, i)
 		}
+		scr.live = scr.live[:k]
 		e.routeLevel(pool, first, true, &res)
 	}
 
@@ -150,15 +156,21 @@ func (e *Engine) runCycleKary(pending core.MessageSet, pool *par.Pool) ([]bool, 
 	// through v (it holds the parent-side down wire above v).
 	for level := 0; level < leafLevel; level++ {
 		first, count := kt.LevelRange(level)
-		for i := range flights {
+		k := 0
+		for _, i := range scr.live {
 			f := &flights[i]
-			switch f.state {
-			case flightUp: // waiting to turn at its LCA
+			if f.state >= flightDone { // lost or delivered last step
+				continue
+			}
+			scr.live[k] = i
+			k++
+			if f.state == flightUp { // waiting to turn at its LCA
 				e.karyOwn(first, count, f.lca, i)
-			case flightDown: // holds the down wire above f.node
+			} else { // holds the down wire above f.node
 				e.karyOwn(first, count, f.node, i)
 			}
 		}
+		scr.live = scr.live[:k]
 		e.routeLevel(pool, first, false, &res)
 	}
 

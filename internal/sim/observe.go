@@ -100,27 +100,37 @@ func (e *Engine) observeLevel(first int, upSweep bool) {
 			sw := e.switches[v]
 			o.Switch(v, len(bucket), scr.dropped[v-first], sw.MatchingRounds(), sw.FaultDrops())
 		}
-		for _, i := range bucket {
-			f := &scr.flights[i]
-			switch f.state {
-			case flightLost:
-				o.Block(i, f.msg, v)
-			case flightUp:
-				// Ascended: now holds a wire in the up channel above v.
+		e.observeFlights(v, bucket, upSweep)
+	}
+}
+
+// observeFlights records the advance, block and deliver events of the
+// flights switch v contested this sweep step, in bucket order.
+//
+//ftlint:hotpath
+func (e *Engine) observeFlights(v int, bucket []int, upSweep bool) {
+	o := e.obs
+	scr := &e.scr
+	for _, i := range bucket {
+		f := &scr.flights[i]
+		switch f.state {
+		case flightLost:
+			o.Block(i, f.msg, v)
+		case flightUp:
+			// Ascended: now holds a wire in the up channel above v.
+			o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+		case flightDown:
+			// Turned or descended: holds the down channel above f.node.
+			o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+		case flightDone:
+			if upSweep {
+				// External output: delivered through the root up channel.
 				o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
-			case flightDown:
-				// Turned or descended: holds the down channel above f.node.
+			} else {
+				// Reached the destination leaf's down channel.
 				o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
-			case flightDone:
-				if upSweep {
-					// External output: delivered through the root up channel.
-					o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
-				} else {
-					// Reached the destination leaf's down channel.
-					o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
-				}
-				o.Deliver(i, f.msg, v)
 			}
+			o.Deliver(i, f.msg, v)
 		}
 	}
 }

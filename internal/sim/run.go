@@ -37,7 +37,7 @@ const maxCyclesDefault = 100000
 // with more than one worker route each cycle on the parallel path, with
 // identical results.
 func RunOnline(e *Engine, ms core.MessageSet) Stats {
-	return e.runLoop(ms, e.runCycleAuto)
+	return e.runLoop(ms, e.RunCycle)
 }
 
 // RunSchedule plays a precomputed off-line schedule through the engine: cycle
@@ -50,7 +50,7 @@ func RunSchedule(e *Engine, s *sched.Schedule) Stats {
 	if s.Tree != e.tree {
 		panic(fmt.Sprintf("sim: schedule built for a different tree (%v vs %v)", s.Tree, e.tree))
 	}
-	return e.runCyclesLoop(s.Cycles, e.runCycleAuto)
+	return e.runCyclesLoop(s.Cycles, e.RunCycle)
 }
 
 // DeliverOffline is the headline convenience API: schedule ms with Theorem 1
